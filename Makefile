@@ -21,16 +21,10 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/livenet/... ./internal/engine/... ./internal/rowsync/... ./internal/core/... ./internal/transport/... ./internal/lossnet/... ./internal/durable/... ./internal/obs/... ./internal/serve/...
+	sh scripts/verify.sh race
 
 recover-smoke:
-	tmp=$$(mktemp -d); \
-	$(GO) run ./cmd/rogtrain -strategy rog -threshold 4 -minutes 2 \
-		-checkpoint-dir "$$tmp/ckpt" -checkpoint-every 20 \
-		-faults "servercrash@45+10" && \
-	$(GO) run ./cmd/rogtrain -strategy rog -threshold 4 -minutes 3 \
-		-checkpoint-dir "$$tmp/ckpt" -resume; \
-	rc=$$?; rm -rf "$$tmp"; exit $$rc
+	sh scripts/verify.sh recover-smoke
 
 verify:
 	sh scripts/verify.sh
@@ -43,14 +37,12 @@ bench-json:
 	$(GO) run ./cmd/rogbench -exp churn -json BENCH_churn.json
 
 # bench-save snapshots one experiment's -json report into the first free
-# BENCH_<n>.json; bench-drift (also run by scripts/verify.sh, non-fatally)
-# reruns the latest snapshot's experiment and reports what moved.
+# BENCH_<n>.json; bench-drift (the last stage of scripts/verify.sh) reruns
+# every snapshot's experiment and fails on any drift.
 BENCH_EXP ?= fleet
 bench-save:
 	n=1; while [ -e "BENCH_$$n.json" ]; do n=$$((n+1)); done; \
 	$(GO) run ./cmd/rogbench -exp $(BENCH_EXP) -json "BENCH_$$n.json"
 
 bench-drift:
-	latest=$$(ls BENCH_[0-9]*.json 2>/dev/null | sort -t_ -k2 -n | tail -1); \
-	if [ -z "$$latest" ]; then echo "bench-drift: no BENCH_<n>.json snapshot (run make bench-save)"; \
-	else $(GO) run ./cmd/rogbench -drift "$$latest"; fi
+	sh scripts/verify.sh bench-drift

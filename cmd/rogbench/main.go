@@ -31,7 +31,7 @@ func main() {
 		list  = flag.Bool("list", false, "list available experiments")
 		seeds = flag.Int("seeds", 1, "replicate fig1/fig6/fig7 across N seeds and report mean±std")
 		jsonP = flag.String("json", "", "write a machine-readable report of -exp ("+jsonIDs+") to this file")
-		drift = flag.String("drift", "", "rerun the experiment recorded in this BENCH_*.json snapshot and report drift against it (never fails)")
+		drift = flag.String("drift", "", "rerun the experiment recorded in this BENCH_*.json snapshot and report drift against it (exits 1 on any drift)")
 	)
 	flag.Parse()
 
@@ -109,9 +109,11 @@ func runSeeds(exp string, scale rog.ExperimentScale, n int) {
 }
 
 // runDrift reruns the experiment a BENCH_*.json snapshot recorded, at the
-// snapshot's own scale, and prints what moved. Drift is a report, not a
-// gate: the command exits 0 even when numbers changed, and exits non-zero
-// only when the snapshot cannot be read or the experiment cannot run.
+// snapshot's own scale, and prints what moved. The snapshots are behaviour
+// goldens, so drift is a gate: the command exits 1 when any system's row
+// differs from the snapshot (a Δ cell other than "=", a staleness change,
+// a new or dropped system) and when the snapshot cannot be read or the
+// experiment cannot run.
 func runDrift(path string) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -134,8 +136,13 @@ func runDrift(path string) {
 		fmt.Fprintf(os.Stderr, "rogbench: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Println(harness.DriftTable(base, cur))
+	table, same := harness.DriftTable(base, cur)
+	fmt.Println(table)
 	fmt.Printf("[drift vs %s computed in %.1fs wall clock]\n", path, time.Since(start).Seconds())
+	if !same {
+		fmt.Fprintf(os.Stderr, "rogbench: %s drifted from its snapshot\n", path)
+		os.Exit(1)
+	}
 }
 
 // writeJSON runs one experiment and writes its machine-readable report.

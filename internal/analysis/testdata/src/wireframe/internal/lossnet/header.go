@@ -1,10 +1,10 @@
-// Package lossnet is a fixture for the wireframe pass over the datagram
-// transport: the header struct mirrors the real dgramHeader (marker-tagged,
-// all fixed-width) and the bad variants show what the pass must catch.
+// Package lossnet is a fixture for the wireframe pass: the header struct is
+// a marker-tagged, all-fixed-width datagram header and the bad variants show
+// what the pass must catch.
 package lossnet
 
-// dgramHeader mirrors the real datagram header: marker-detected, every
-// field fixed-width, so it produces no findings.
+// dgramHeader is a datagram header: marker-detected, every field
+// fixed-width, so it produces no findings.
 //
 //roglint:wire
 type dgramHeader struct {

@@ -610,44 +610,12 @@ func (c *cluster) deliverPull(w, u int) {
 	payload := c.downCodec[w].Encode(u, acc)
 	vals := c.scratch[:len(acc)]
 	compress.Decode(payload, vals)
-	c.applyUnit(w, u, vals)
+	un := c.part.Unit(u)
+	c.opt[w].ApplyUnit(c.wl.Model(w).Params(), un.Param, un.Offset, vals)
 	// Drain through the engine so the transition reaches the WAL: a pulled
 	// copy must stay drained across a server crash, or recovery would
 	// double-apply it on the next pull.
 	c.state.DrainUnit(w, u)
-}
-
-// applyUnit runs the SGD row update on one unit of worker w's replica.
-func (c *cluster) applyUnit(w, u int, vals []float32) {
-	params := c.wl.Model(w).Params()
-	un := c.part.Unit(u)
-	p := params[un.Param]
-	// Units are contiguous ranges; apply row by row through the optimizer
-	// so momentum state stays per-row.
-	startRow := un.Offset / p.Cols
-	endOff := un.Offset + un.Len
-	for off := un.Offset; off < endOff; {
-		row := off / p.Cols
-		colStart := off - row*p.Cols
-		width := p.Cols - colStart
-		if off+width > endOff {
-			width = endOff - off
-		}
-		if colStart == 0 && width == p.Cols {
-			c.opt[w].ApplyRow(params, un.Param, row, vals[off-un.Offset:off-un.Offset+width])
-		} else {
-			// Partial row (element granularity): apply directly with the
-			// same step rule, bypassing per-row momentum.
-			lr := float32(c.opt[w].LR)
-			pr := p.Data[off : off+width]
-			src := vals[off-un.Offset : off-un.Offset+width]
-			for i := range pr {
-				pr[i] -= lr * src[i]
-			}
-		}
-		off += width
-	}
-	_ = startRow
 }
 
 // snapshotInto accumulates worker w's freshly computed gradients into its

@@ -123,14 +123,6 @@ type stateShard struct {
 	wait *WaitList
 }
 
-// Duplicates returns the duplicate pushes dropped in this shard's range.
-func (sh *stateShard) Duplicates() int64 {
-	sh.mu.Lock()
-	n := sh.dups
-	sh.mu.Unlock()
-	return n
-}
-
 // MaxLead returns the largest version lead over the global minimum any
 // merge in this shard has stamped. A row's lead is maximal at stamp time —
 // the minimum only advances afterwards — so the running maximum recorded
@@ -742,15 +734,6 @@ func (s *State) DropWaiter(w int) {
 	for _, sh := range s.shards {
 		sh.wait.Drop(w)
 	}
-}
-
-// WaitersParked reports how many workers are parked across all shards.
-func (s *State) WaitersParked() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.wait.Len()
-	}
-	return n
 }
 
 // WakeWaiters retries every parked worker in globally ascending worker

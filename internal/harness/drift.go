@@ -13,10 +13,10 @@ import (
 
 // Bench-drift support: `make bench-save` snapshots a rogbench -json report
 // to BENCH_<n>.json, and `rogbench -drift BENCH_<n>.json` reruns the same
-// experiment at the same scale and renders what moved. The comparison is a
-// report, not a gate — the simnet is deterministic, so any drift is a real
-// behaviour change worth reading about, but whether it is a regression or
-// an intended improvement is the reader's call.
+// experiment at the same scale and renders what moved. The simnet is
+// deterministic, so any drift is a real behaviour change: the committed
+// snapshots are behaviour goldens, and a change that moves them must
+// re-baseline them explicitly.
 
 // ReadJSONReport parses a report previously written by Report.WriteJSON.
 func ReadJSONReport(r io.Reader) (*Report, error) {
@@ -43,8 +43,11 @@ func driftPct(base, cur float64) string {
 }
 
 // DriftTable compares a fresh report against a snapshot of the same
-// experiment, one row per system (matched by label).
-func DriftTable(base, cur *Report) string {
+// experiment, one row per system (matched by label). same reports whether
+// every row matched exactly: no system new or dropped, every Δ cell "=" and
+// the maximum staleness unchanged.
+func DriftTable(base, cur *Report) (table string, same bool) {
+	same = true
 	var b strings.Builder
 	fmt.Fprintf(&b, "bench drift: %s (scale=%s, snapshot scale=%s)\n",
 		cur.Experiment, cur.Scale, base.Scale)
@@ -57,11 +60,14 @@ func DriftTable(base, cur *Report) string {
 		c := &cur.Systems[i]
 		o, ok := byLabel[c.Label]
 		if !ok {
+			same = false
 			rows = append(rows, []string{c.Label, "-", fmt.Sprintf("%d", c.Iterations),
 				"new", "new", "new", fmt.Sprintf("%d", c.MaxStaleness)})
 			continue
 		}
 		delete(byLabel, c.Label)
+		same = same && o.Iterations == c.Iterations && o.FinalValue == c.FinalValue &&
+			o.TotalJoules == c.TotalJoules && o.MaxStaleness == c.MaxStaleness
 		rows = append(rows, []string{
 			c.Label,
 			fmt.Sprintf("%d", o.Iterations),
@@ -77,6 +83,7 @@ func DriftTable(base, cur *Report) string {
 		dropped = append(dropped, label)
 	}
 	sort.Strings(dropped)
+	same = same && len(dropped) == 0
 	for _, label := range dropped {
 		rows = append(rows, []string{label, fmt.Sprintf("%d", byLabel[label].Iterations),
 			"-", "dropped", "dropped", "dropped", "-"})
@@ -86,7 +93,7 @@ func DriftTable(base, cur *Report) string {
 		rows,
 	))
 	critDrift(&b, base, cur)
-	return b.String()
+	return b.String(), same
 }
 
 // critDrift appends the critical-path comm/stall split per system, with the

@@ -155,3 +155,26 @@ func TestRunJSONReportUnknownID(t *testing.T) {
 		t.Fatal("fig3 (no JSON shape) accepted")
 	}
 }
+
+// TestDriftTableGate checks that DriftTable reports a match only when no
+// system row moved.
+func TestDriftTableGate(t *testing.T) {
+	base := &Report{Systems: []SystemReport{{Label: "a", Iterations: 10, FinalValue: 0.5, TotalJoules: 3, MaxStaleness: 2}, {Label: "b"}}}
+	if _, same := DriftTable(base, base); !same {
+		t.Fatal("identical reports drifted")
+	}
+	for i, edit := range []func(s []SystemReport) []SystemReport{
+		func(s []SystemReport) []SystemReport { s[0].Iterations++; return s },
+		func(s []SystemReport) []SystemReport { s[0].FinalValue = 0.4; return s },
+		func(s []SystemReport) []SystemReport { s[0].TotalJoules = 4; return s },
+		func(s []SystemReport) []SystemReport { s[0].MaxStaleness = 3; return s },
+		func(s []SystemReport) []SystemReport { s[1].Label = "c"; return s },
+		func(s []SystemReport) []SystemReport { return s[:1] },
+		func(s []SystemReport) []SystemReport { return append(s, SystemReport{Label: "c"}) },
+	} {
+		cur := &Report{Systems: edit(append([]SystemReport(nil), base.Systems...))}
+		if _, same := DriftTable(base, cur); same {
+			t.Errorf("edit %d went undetected", i)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"rog/internal/nn"
 	"rog/internal/rowsync"
 	"rog/internal/tensor"
+	"rog/internal/transport"
 )
 
 // liveCluster spins up a server goroutine per worker connection and returns
@@ -238,4 +239,45 @@ func compressPayload(t *testing.T) compress.Payload {
 	t.Helper()
 	c := compress.NewCodec([]int{8})
 	return c.Encode(0, []float32{1, -2, 3, -4, 5, -6, 7, -8})
+}
+
+// TestLayersPullKeepsMomentum pins the unit-apply rule for multi-row units:
+// a Layers-partition worker that pulls the same unit twice must end with
+// exactly the weights of momentum SGD applied row by row, as in simnet.
+func TestLayersPullKeepsMomentum(t *testing.T) {
+	model := nn.NewClassifierMLP(6, []int{10}, 4, tensor.NewRNG(5))
+	want := nn.NewClassifierMLP(6, []int{10}, 4, tensor.NewRNG(5))
+	part := rowsync.NewPartition(model.Params(), rowsync.Layers)
+	un := part.Unit(0)
+	p := want.Params()[un.Param]
+	if p.Rows < 2 || un.Len != p.Rows*p.Cols {
+		t.Fatalf("unit 0 is %+v over a %dx%d matrix; want a whole multi-row matrix", un, p.Rows, p.Cols)
+	}
+	grad := make([]float32, un.Len)
+	for i := range grad {
+		grad[i] = float32(i%7) - 3
+	}
+	payload := compress.NewCodec(part.Widths()).Encode(0, grad)
+	vals := make([]float32, un.Len)
+	compress.Decode(payload, vals)
+
+	c, s := net.Pipe()
+	defer c.Close()
+	defer s.Close()
+	w := NewWorker(model, part, c, WorkerConfig{LR: 0.1, Momentum: 0.9})
+	go transport.SendFrames(s, [][]byte{pullMsg(payload), pullDoneMsg(0, 0), pullMsg(payload), pullDoneMsg(0, 0)}, time.Time{})
+	ref := nn.NewSGD(0.1, 0.9)
+	for i := 0; i < 2; i++ {
+		if err := w.pull(); err != nil {
+			t.Fatalf("pull %d: %v", i, err)
+		}
+		for r := 0; r < p.Rows; r++ {
+			ref.ApplyRow(want.Params(), un.Param, r, vals[r*p.Cols:(r+1)*p.Cols])
+		}
+	}
+	for i, got := range model.Params()[un.Param].Data {
+		if got != p.Data[i] {
+			t.Fatalf("weight %d = %v after two pulls, want %v (momentum SGD row by row)", i, got, p.Data[i])
+		}
+	}
 }

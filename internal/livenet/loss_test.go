@@ -26,8 +26,8 @@ import (
 //
 // What the stream path *cannot* see is the gap itself: the worker stamps
 // pushIter optimistically at send, so a dropped row is indistinguishable
-// from a delivered one on the sender. That blindness is exactly what the
-// lossnet datagram transport's sequence numbers + NACK lists close.
+// from a delivered one on the sender — a known limitation of the stream
+// transport.
 func TestLossyRowFramesBoundedStaleness(t *testing.T) {
 	const workers, threshold, iters = 3, 4, 25
 	proto := nn.NewClassifierMLP(6, []int{10}, 4, tensor.NewRNG(41))

@@ -250,9 +250,10 @@ func (w *Worker) pull() error {
 		}
 		switch msg.kind {
 		case kindPull:
-			vals := make([]float32, msg.payload.N)
+			un := w.part.Unit(msg.payload.Row)
+			vals := make([]float32, un.Len) // Decode panics on a payload of another width
 			compress.Decode(msg.payload, vals)
-			w.applyUnit(msg.payload.Row, vals)
+			w.opt.ApplyUnit(w.model.Params(), un.Param, un.Offset, vals)
 		case kindPullDone:
 			if msg.budget > 0 {
 				w.budget = msg.budget
@@ -286,9 +287,10 @@ func (w *Worker) Rejoin(conn net.Conn) error {
 		}
 		switch msg.kind {
 		case kindPull:
-			vals := make([]float32, msg.payload.N)
+			un := w.part.Unit(msg.payload.Row)
+			vals := make([]float32, un.Len) // Decode panics on a payload of another width
 			compress.Decode(msg.payload, vals)
-			w.applyUnit(msg.payload.Row, vals)
+			w.opt.ApplyUnit(w.model.Params(), un.Param, un.Offset, vals)
 		case kindResyncDone:
 			if msg.iter > w.iter {
 				w.iter = msg.iter
@@ -343,22 +345,4 @@ func (w *Worker) RunResilient(iters int, computeGradients func(), dial func() (n
 		}
 	}
 	return nil
-}
-
-// applyUnit applies one averaged gradient unit to the model via per-row
-// SGD momentum.
-func (w *Worker) applyUnit(u int, vals []float32) {
-	params := w.model.Params()
-	un := w.part.Unit(u)
-	p := params[un.Param]
-	row := un.Offset / p.Cols
-	if un.Offset%p.Cols == 0 && un.Len == p.Cols {
-		w.opt.ApplyRow(params, un.Param, row, vals)
-		return
-	}
-	lr := float32(w.opt.LR)
-	dst := p.Data[un.Offset : un.Offset+un.Len]
-	for i := range dst {
-		dst[i] -= lr * vals[i]
-	}
 }

@@ -10,11 +10,6 @@
 //     optional loss-rate column of a recorded bandwidth trace.
 //   - A frame-dropping net.Conn wrapper (conn.go) that injects loss under
 //     the existing TCP-style stream framing of internal/transport.
-//   - A datagram transport (dgram.go) with sequence numbers, cumulative
-//     acks and NACK-driven selective retransmission: reliable-class
-//     payloads retransmit until acked, best-effort losses are detected via
-//     sequence gaps and reported to the sender so their gradients can be
-//     folded back into the local accumulator.
 //
 // The selective-reliability split itself is policy: the reliable class of a
 // push plan is its Must prefix (the MTA floor plus the rows RSP forces), so

@@ -247,6 +247,30 @@ func TestApplyRowEquivalentToStep(t *testing.T) {
 	}
 }
 
+// TestApplyUnitSpansRows checks the unit-apply rule on a span that starts
+// mid-row, covers one whole row and ends mid-row: the whole row steps with
+// momentum, the partial rows take the plain step, the rest stays put.
+func TestApplyUnitSpansRows(t *testing.T) {
+	p := tensor.New(3, 4)
+	vals := []float32{1, 2, 3, 4, 5, 6, 7, 8} // covers Data[2:10]
+	o := NewSGD(0.5, 0.25)
+	o.ApplyUnit([]*tensor.Matrix{p}, 0, 2, vals)
+	o.ApplyUnit([]*tensor.Matrix{p}, 0, 2, vals)
+	want := make([]float32, len(p.Data))
+	for i, g := range vals {
+		want[i+2] = -0.5*g - 0.5*g // plain step, twice
+		// Whole row 1: v = g, then v = 0.25·g + g.
+		if i+2 >= 4 && i+2 < 8 {
+			want[i+2] = -0.5*g - 0.5*(0.25*g+g)
+		}
+	}
+	for i := range want {
+		if p.Data[i] != want[i] {
+			t.Fatalf("Data[%d] = %v, want %v", i, p.Data[i], want[i])
+		}
+	}
+}
+
 func TestSnapshotGradsZeroesOriginals(t *testing.T) {
 	r := tensor.NewRNG(8)
 	model := NewClassifierMLP(3, []int{4}, 2, r)

@@ -51,6 +51,29 @@ func (o *SGD) Step(params, grads []*tensor.Matrix) {
 	}
 }
 
+// ApplyUnit updates the contiguous span of parameter paramIdx's flat Data
+// that starts at offset from the averaged gradient vals — one
+// synchronization unit of any granularity. Whole rows go through ApplyRow,
+// so momentum stays per row; a partial row (element granularity) takes the
+// plain step w ← w − η·g, bypassing momentum.
+func (o *SGD) ApplyUnit(params []*tensor.Matrix, paramIdx, offset int, vals []float32) {
+	p := params[paramIdx]
+	lr := float32(o.LR)
+	for i := 0; i < len(vals); {
+		off := offset + i
+		row := off / p.Cols
+		width := min(p.Cols-(off-row*p.Cols), len(vals)-i)
+		if src := vals[i : i+width]; width == p.Cols {
+			o.ApplyRow(params, paramIdx, row, src)
+		} else {
+			for j, g := range src {
+				p.Data[off+j] -= lr * g
+			}
+		}
+		i += width
+	}
+}
+
 // ApplyRow updates a single row of parameter matrix p (index paramIdx in the
 // model's parameter list) from the averaged gradient row grad.
 func (o *SGD) ApplyRow(params []*tensor.Matrix, paramIdx, row int, grad []float32) {
